@@ -10,9 +10,10 @@
 #   3. GES_SANITIZE=undefined — kernels / executor / durability labels
 #      plus one pass of bench_filter_selectivity (GES_ITERS=1): the WAL
 #      codec and CRC32C are bit-twiddling-heavy
-#   4. GES_SANITIZE=address   — governor / service labels: the resource
-#      governor's unwind paths (budget kills mid-allocation, watchdog
-#      shots, watermark sheds) must be leak- and overflow-clean
+#   4. GES_SANITIZE=address   — governor / service / storage labels: the
+#      resource governor's unwind paths (budget kills mid-allocation,
+#      watchdog shots, watermark sheds) and the adjacency CSR's offset
+#      arithmetic must be leak- and overflow-clean
 #
 # Usage: scripts/ci.sh [flavor...]     (default: all four)
 #   flavors: release, tsan, ubsan, asan
@@ -56,10 +57,10 @@ for flavor in "${FLAVORS[@]}"; do
       GES_ITERS=1 "$ROOT/ubsan/bench/bench_filter_selectivity"
       ;;
     asan)
-      echo "=== [ci] AddressSanitizer: governor|service ==="
+      echo "=== [ci] AddressSanitizer: governor|service|storage ==="
       build "$ROOT/asan" -DGES_SANITIZE=address
       ctest --test-dir "$ROOT/asan" --output-on-failure -j "$JOBS" \
-        -L 'governor|service'
+        -L 'governor|service|storage'
       ;;
     *)
       echo "[ci] unknown flavor '$flavor' (release, tsan, ubsan, asan)" >&2

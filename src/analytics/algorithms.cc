@@ -40,7 +40,6 @@ PageRankResult PageRank(const GraphView& view, LabelId label,
     for (RelationId rel : out_rels) {
       AdjSpan span = view.Neighbors(rel, dense.vertices[i], &adj);
       for (uint32_t k = 0; k < span.size; ++k) {
-        if (span.ids[k] == kInvalidVertex) continue;
         if (dense.index.count(span.ids[k]) != 0) ++out_degree[i];
       }
     }
@@ -156,10 +155,10 @@ uint64_t CountTriangles(const GraphView& view, LabelId label,
 
 namespace {
 
-// Number of common ids of two sorted (kInvalidVertex-free) lists starting
-// at positions a/b, restricted to members of `index` — a two-list leapfrog
-// with galloping cursors. Duplicates (parallel edges) count once.
-uint64_t IntersectCount(const SortedList& su, uint32_t a, const SortedList& sv,
+// Number of common ids of two sorted spans starting at positions a/b,
+// restricted to members of `index` — a two-list leapfrog with galloping
+// cursors. Duplicates (parallel edges) count once.
+uint64_t IntersectCount(const AdjSpan& su, uint32_t a, const AdjSpan& sv,
                         uint32_t b,
                         const std::unordered_map<VertexId, uint32_t>& index,
                         IntersectOpStats* stats) {
@@ -193,22 +192,19 @@ uint64_t CountTrianglesIntersect(const GraphView& view, LabelId label,
                                  RelationId symmetric_rel,
                                  IntersectOpStats* stats) {
   DenseIndex dense(view, label);
-  std::vector<VertexId> scratch_u, scratch_v;
-  // Distinct decode scratches: NormalizeSpan keeps sorted_clean spans in
-  // place, and `su` stays live across the inner `sv` fetches.
+  // Distinct decode scratches: `su` stays live across the inner `sv`
+  // fetches.
   AdjScratch adj_u, adj_v;
   uint64_t triangles = 0;
   for (VertexId u : dense.vertices) {
-    SortedList su =
-        NormalizeSpan(view.Neighbors(symmetric_rel, u, &adj_u), &scratch_u);
+    AdjSpan su = view.Neighbors(symmetric_rel, u, &adj_u);
     for (uint32_t i = 0; i < su.size; ++i) {
       VertexId v = su.ids[i];
       if (v <= u) continue;
       if (i > 0 && su.ids[i - 1] == v) continue;  // parallel edge
       if (dense.index.count(v) == 0) continue;
       if (stats != nullptr) ++stats->probes;
-      SortedList sv =
-          NormalizeSpan(view.Neighbors(symmetric_rel, v, &adj_v), &scratch_v);
+      AdjSpan sv = view.Neighbors(symmetric_rel, v, &adj_v);
       // Common neighbors w > v close a triangle u < v < w exactly once.
       uint32_t a = GallopLowerBound(su.ids, su.size, i + 1, v + 1, stats);
       uint32_t b = GallopLowerBound(sv.ids, sv.size, 0, v + 1, stats);
@@ -221,20 +217,17 @@ uint64_t CountTrianglesIntersect(const GraphView& view, LabelId label,
 uint64_t CountDiamonds(const GraphView& view, LabelId label,
                        RelationId symmetric_rel, IntersectOpStats* stats) {
   DenseIndex dense(view, label);
-  std::vector<VertexId> scratch_u, scratch_v;
   AdjScratch adj_u, adj_v;
   uint64_t diamonds = 0;
   for (VertexId u : dense.vertices) {
-    SortedList su =
-        NormalizeSpan(view.Neighbors(symmetric_rel, u, &adj_u), &scratch_u);
+    AdjSpan su = view.Neighbors(symmetric_rel, u, &adj_u);
     for (uint32_t i = 0; i < su.size; ++i) {
       VertexId v = su.ids[i];
       if (v <= u) continue;  // each edge once
       if (i > 0 && su.ids[i - 1] == v) continue;
       if (dense.index.count(v) == 0) continue;
       if (stats != nullptr) ++stats->probes;
-      SortedList sv =
-          NormalizeSpan(view.Neighbors(symmetric_rel, v, &adj_v), &scratch_v);
+      AdjSpan sv = view.Neighbors(symmetric_rel, v, &adj_v);
       // Every unordered pair of common neighbors spans a diamond whose
       // chord is (u, v).
       uint64_t c = IntersectCount(su, 0, sv, 0, dense.index, stats);
@@ -257,7 +250,6 @@ uint64_t CountFourCycles(const GraphView& view, LabelId label,
     AdjSpan span = view.Neighbors(symmetric_rel, dense.vertices[i], &adj);
     nbrs.clear();
     for (uint32_t k = 0; k < span.size; ++k) {
-      if (span.ids[k] == kInvalidVertex) continue;
       auto it = dense.index.find(span.ids[k]);
       if (it != dense.index.end()) nbrs.push_back(it->second);
     }
@@ -293,7 +285,7 @@ std::unordered_map<VertexId, int> BfsDistances(
       AdjSpan span = view.Neighbors(rel, u, &adj);
       for (uint32_t k = 0; k < span.size; ++k) {
         VertexId w = span.ids[k];
-        if (w == kInvalidVertex || dist.count(w) != 0) continue;
+        if (dist.count(w) != 0) continue;
         dist[w] = d + 1;
         queue.push_back(w);
       }
@@ -307,13 +299,8 @@ std::vector<uint64_t> DegreeHistogram(const GraphView& view, LabelId label,
   std::vector<VertexId> vertices;
   view.ScanLabel(label, &vertices);
   std::vector<uint64_t> histogram;
-  AdjScratch adj;
   for (VertexId v : vertices) {
-    AdjSpan span = view.Neighbors(rel, v, &adj);
-    uint32_t degree = 0;
-    for (uint32_t k = 0; k < span.size; ++k) {
-      if (span.ids[k] != kInvalidVertex) ++degree;
-    }
+    uint32_t degree = view.Degree(rel, v);
     if (histogram.size() <= degree) histogram.resize(degree + 1, 0);
     ++histogram[degree];
   }

@@ -485,9 +485,7 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
       uint64_t begin = cand.size();
       for (RelationId rel : op.rels) {
         AdjSpan span = view.Neighbors(rel, v, &adj);
-        for (uint32_t i = 0; i < span.size; ++i) {
-          if (span.ids[i] != kInvalidVertex) cand.push_back(span.ids[i]);
-        }
+        cand.insert(cand.end(), span.ids, span.ids + span.size);
       }
       cand_range[r] = IndexRange{begin, cand.size()};
     }
@@ -549,7 +547,6 @@ void FactExpandFiltered(FactState* state, const PlanOp& op,
         AdjSpan span = view.Neighbors(rel, v, &adj);
         for (uint32_t i = 0; i < span.size; ++i) {
           VertexId id = span.ids[i];
-          if (id == kInvalidVertex) continue;
           Value pv = view.Property(id, op.property);
           if (!pred.Eval([&pv](int) -> Value { return pv; }).AsBool()) {
             continue;
@@ -580,8 +577,8 @@ void FactGetProperty(FactState* state, const PlanOp& op,
   size_t rows = node->block.NumRows();
   ValueVector out(op.property_type);
   out.Reserve(rows);
-  // Invalid/tombstone rows receive a placeholder to keep row alignment
-  // (they are never enumerated).
+  // Invalid rows receive a placeholder to keep row alignment (they are
+  // never enumerated).
   if (options.vector_kernels) {
     // Batched gather: the MVCC overlay and the string dictionary are
     // resolved once per batch, base columns are copied slice-wise
@@ -607,7 +604,7 @@ void FactGetProperty(FactState* state, const PlanOp& op,
     }
   } else if (col == 0) {
     node->block.ForEachVertex([&](uint64_t row, VertexId v) {
-      if (v == kInvalidVertex || !node->RowValid(row)) {
+      if (!node->RowValid(row)) {
         out.AppendValue(Value::Null());
       } else {
         out.AppendValue(view.Property(v, op.property));

@@ -189,7 +189,7 @@ Plan OptimizePlan(const Plan& plan, const ExecOptions& options,
   out.param_count = plan.param_count;
 
   // Statistics snapshot for the cost model (may be null before the first
-  // RebuildStats; every estimator degrades to adjMeta averages then).
+  // RebuildStats; every estimator degrades to base-table averages then).
   std::shared_ptr<const GraphStats> stats_holder;
   const GraphStats* stats = nullptr;
   if (view != nullptr) {

@@ -1,12 +1,12 @@
 // Adjacency-array graph topology storage (Figure 9 of the paper).
 //
 // The whole topology is stored as an array-of-arrays: for every relation key
-// (srcLabel, edgeLabel, dstLabel, direction) there is one AdjacencyTable
-// whose `adjMeta` array (indexed by the global VertexId) records the RAM
-// address and length of that vertex's `adjArray`. Bulk load packs all
-// adjArrays into one contiguous buffer; incremental inserts reallocate an
-// individual vertex's array with doubling capacity; deletes tombstone the
-// slot ("marking for deletion").
+// (srcLabel, edgeLabel, dstLabel, direction) there is one AdjacencyTable.
+// Bulk load stages the edges and Finalize packs them once into an immutable
+// CSR: n+1 offsets (indexed by the global VertexId) over a packed neighbor
+// column. Updates never touch it; they publish sorted copy-on-write overlay
+// entries (storage/version_manager.h), and compaction merges both into a
+// compressed segment (DESIGN.md §16).
 //
 // Each relation may carry at most one int64 edge property ("stamp", e.g.
 // creationDate of a KNOWS edge) stored side by side with the neighbor ids.
@@ -17,11 +17,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 
 namespace ges {
@@ -34,22 +31,18 @@ using RelationId = uint32_t;
 inline constexpr RelationId kInvalidRelation = 0xffffffffu;
 
 // A non-owning view of one vertex's neighbors (and optional edge stamps).
-// `ids[i]` may be kInvalidVertex for tombstoned edges.
 //
-// Sorted invariant: the *live* ids (skipping tombstones) are in
-// nondecreasing order. Finalize sorts each vertex's packed array,
-// InsertEdge inserts at the sorted position, and overlay publication sorts
-// copy-on-write entries, so a span with `tombstones == 0` is a plain sorted
-// array and can be galloped/binary-searched directly (see
-// storage/intersect.h). Spans with tombstones must be compacted first.
+// Sorted invariant: `ids` is nondecreasing and holds no kInvalidVertex.
+// Every span source keeps it — Finalize sorts each vertex's packed list,
+// commit publishes sorted overlay copies, and compressed segments encode
+// sorted lists — so readers gallop and binary-search spans directly (see
+// storage/intersect.h) and never filter them.
 struct AdjSpan {
   const VertexId* ids = nullptr;
   const int64_t* stamps = nullptr;  // nullptr if the relation has no stamp
   uint32_t size = 0;
-  uint32_t tombstones = 0;  // kInvalidVertex slots hiding inside [0, size)
 
   bool empty() const { return size == 0; }
-  bool sorted_clean() const { return tombstones == 0; }
 };
 
 // Caller-owned decode buffers for reads that may hit a compressed segment
@@ -84,10 +77,9 @@ struct RelationKeyHash {
   }
 };
 
-// One adjacency table: adjMeta (per-vertex pointer/length) plus the packed
-// neighbor buffer. Not thread-safe for writes; the version manager
-// serializes writers per vertex and publishes copy-on-write snapshots for
-// readers of concurrently-updated vertices.
+// One adjacency table: an immutable CSR built once by Finalize. Reads are
+// lock-free; the compaction swap detaches the storage under the commit
+// mutex while pinned readers drain.
 class AdjacencyTable {
  public:
   AdjacencyTable(RelationKey key, bool has_stamp)
@@ -98,77 +90,49 @@ class AdjacencyTable {
   size_t num_edges() const {
     return num_edges_.load(std::memory_order_relaxed);
   }
-  // Vertices with at least one live out-slot; with num_edges() this gives
-  // the average degree the optimizer's intersection cost model uses.
+  // Vertices with at least one out-edge; with num_edges() this gives the
+  // average degree the optimizer's intersection cost model uses.
   size_t num_sources() const {
     return num_sources_.load(std::memory_order_relaxed);
   }
 
   // --- bulk load (two-phase: stage edges, then Finalize packs them) ---
   void StageEdge(VertexId src, VertexId dst, int64_t stamp = 0);
-  // Packs staged edges into the contiguous buffer. `num_vertices` sizes the
-  // adjMeta array (global id space).
+  // Packs staged edges into the CSR. `num_vertices` sizes the offsets
+  // (global id space); later vertices have no base edges.
   void Finalize(size_t num_vertices);
   bool finalized() const { return finalized_; }
 
   // --- reads ---
+  // Vertices the CSR covers (0 before Finalize and after DetachStorage).
+  size_t num_vertices() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
   AdjSpan Neighbors(VertexId v) const {
-    if (v >= meta_.size()) return AdjSpan{};
-    const Meta& m = meta_[v];
-    return AdjSpan{m.ids, has_stamp_ ? m.stamps : nullptr, m.size,
-                   m.tombstones};
+    if (v >= num_vertices()) return AdjSpan{};
+    const uint64_t begin = offsets_[v];
+    return AdjSpan{packed_ids_.data() + begin,
+                   has_stamp_ ? packed_stamps_.data() + begin : nullptr,
+                   static_cast<uint32_t>(offsets_[v + 1] - begin)};
   }
-  uint32_t Degree(VertexId v) const {
-    return v < meta_.size() ? meta_[v].size - meta_[v].tombstones : 0;
-  }
+  uint32_t Degree(VertexId v) const { return Neighbors(v).size; }
 
-  // --- updates (called with the vertex's write lock held) ---
-  // Inserts an edge at its sorted position (compacting any tombstones
-  // first); grows the vertex's array (doubling) when full.
-  void InsertEdge(VertexId src, VertexId dst, int64_t stamp = 0);
-  // Tombstones the first live (src -> dst) edge. Returns false if absent.
-  bool RemoveEdge(VertexId src, VertexId dst);
-
-  // Ensures adjMeta covers vertices [0, n).
-  void EnsureVertexCapacity(size_t n);
-
-  // Everything the table holds, staged buffers and growth slack included
-  // (the governor watermark and the compaction trigger must see capacity,
-  // not just live size — DESIGN.md §16).
+  // Everything the table holds, staged edges included (the governor
+  // watermark and the compaction trigger must see capacity — DESIGN.md §16).
   size_t MemoryBytes() const;
 
-  // Bytes held but not serving live edges: grow-on-insert slack (capacity
-  // beyond size), tombstoned slots, and storage abandoned by doubling
-  // reallocation inside the update arena. This is the compaction trigger's
-  // numerator.
-  size_t FragmentationBytes() const;
-  size_t tombstone_slots() const { return tombstone_slots_; }
-
   // --- compaction handoff (DESIGN.md §16) ---
-  // Detaches all neighbor storage (packed buffers, adjMeta, update arena)
-  // into an opaque keepalive and leaves the table empty-but-finalized.
-  // Pinned readers may still hold AdjSpans into the detached storage, so
-  // the caller parks the keepalive on the graph's retire list until the GC
-  // watermark passes the swap version. Called with the commit mutex held.
+  // Detaches the CSR into an opaque keepalive and leaves the table
+  // empty-but-finalized. Pinned readers may still hold AdjSpans into the
+  // detached storage, so the caller parks the keepalive on the graph's
+  // retire list until the GC watermark passes the swap version. Called with
+  // the commit mutex held.
   std::shared_ptr<const void> DetachStorage();
   // Restores the edge totals after a detach so AvgDegree and the optimizer
   // cost model keep working while a compressed segment serves the reads.
   void RestoreCompacted(size_t num_edges, size_t num_sources);
 
  private:
-  struct Meta {
-    VertexId* ids = nullptr;
-    int64_t* stamps = nullptr;
-    uint32_t size = 0;       // slots in use (including tombstones)
-    uint32_t capacity = 0;   // allocated slots
-    uint32_t tombstones = 0;
-  };
-
-  void Grow(Meta& m, uint32_t min_capacity);
-  size_t SlotBytes() const {
-    return sizeof(VertexId) + (has_stamp_ ? sizeof(int64_t) : 0);
-  }
-
   RelationKey key_;
   bool has_stamp_;
   bool finalized_ = false;
@@ -178,29 +142,16 @@ class AdjacencyTable {
   std::atomic<size_t> num_edges_{0};
   std::atomic<size_t> num_sources_{0};
 
-  // Fragmentation gauges (O(1), maintained by the update path):
-  //   tombstone_slots_  live array slots holding kInvalidVertex
-  //   slack_slots_      capacity - size summed over all vertices
-  //   dead_slots_       slots orphaned in the arena / packed buffers when
-  //                     Grow moved a vertex's array (the old storage is
-  //                     never reused)
-  size_t tombstone_slots_ = 0;
-  size_t slack_slots_ = 0;
-  size_t dead_slots_ = 0;
-
   // Staged (bulk) edges before Finalize.
   std::vector<VertexId> staged_src_;
   std::vector<VertexId> staged_dst_;
   std::vector<int64_t> staged_stamp_;
 
-  // Packed storage after Finalize. meta_[v].ids points either into these
-  // buffers or into arena-allocated per-vertex arrays after growth.
-  // update_arena_ is heap-held so DetachStorage can hand the whole pool to
-  // the retire list while readers drain.
+  // The CSR: vertex v's neighbors are packed_ids_[offsets_[v],
+  // offsets_[v + 1]).
+  std::vector<uint64_t> offsets_;
   std::vector<VertexId> packed_ids_;
   std::vector<int64_t> packed_stamps_;
-  std::vector<Meta> meta_;
-  std::unique_ptr<Arena> update_arena_;  // pool backing post-load growth
 };
 
 }  // namespace ges

@@ -2,7 +2,7 @@
 // checkpointing, and read-only degradation. See DESIGN.md §10.
 //
 // Directory layout:
-//   <dir>/snapshot.ges      latest checkpoint (GESSNAP3, CRC per section)
+//   <dir>/snapshot.ges      latest checkpoint (GESSNAP4, CRC per section)
 //   <dir>/snapshot.ges.tmp  in-flight checkpoint (garbage after a crash)
 //   <dir>/wal.log           transactions since the snapshot
 //
@@ -32,14 +32,14 @@ constexpr char kSnapshotName[] = "/snapshot.ges";
 constexpr char kSnapshotTmpName[] = "/snapshot.ges.tmp";
 constexpr char kWalName[] = "/wal.log";
 
-// Writes a V3 snapshot of `graph` atomically into `dir`: tmp file + fsync +
+// Writes a snapshot of `graph` atomically into `dir`: tmp file + fsync +
 // rename + directory fsync. The caller must hold the commit mutex (or
 // otherwise exclude concurrent commits) so the snapshot version covers
 // everything the WAL rotation is about to discard.
 Status WriteSnapshotAtomic(const Graph& graph, FileSystem* fs,
                            const std::string& dir) {
   std::string tmp = dir + kSnapshotTmpName;
-  GES_RETURN_IF_ERROR(SaveGraphFile(graph, tmp, SnapshotFormat::kV4));
+  GES_RETURN_IF_ERROR(SaveGraphFile(graph, tmp));
   GES_RETURN_IF_ERROR(fs->SyncFile(tmp));
   GES_RETURN_IF_ERROR(fs->Rename(tmp, dir + kSnapshotName));
   GES_RETURN_IF_ERROR(fs->SyncDir(dir));

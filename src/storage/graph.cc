@@ -109,20 +109,12 @@ uint32_t Graph::Degree(RelationId rel, VertexId v, Version snapshot) const {
   const TableEntry& t = tables_[rel];
   if (!t.overlay->empty()) {
     const AdjOverlayEntry* e = t.overlay->Find(v, snapshot);
-    if (e != nullptr) {
-      // Overlay entries are tombstone-free: the size is the degree.
-      return static_cast<uint32_t>(e->ids.size());
-    }
+    if (e != nullptr) return static_cast<uint32_t>(e->ids.size());
   }
   // Segment degrees are precomputed — no decode needed.
   const CompressedSegment* seg = t.segment.load(std::memory_order_acquire);
   if (seg != nullptr && seg->Covers(v)) return seg->DegreeOf(v);
-  AdjSpan span = t.table->Neighbors(v);
-  uint32_t n = 0;
-  for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] != kInvalidVertex) ++n;
-  }
-  return n;
+  return t.table->Degree(v);
 }
 
 Value Graph::GetProperty(VertexId v, PropertyId prop, Version snapshot) const {
@@ -344,7 +336,6 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
   const size_t num_vertices = NumVerticesTotal();
 
   AdjScratch decode_scratch;
-  AdjScratch clean_scratch;
   for (RelationId rel = 0; rel < tables_.size(); ++rel) {
     TableEntry& t = tables_[rel];
     if (!t.table->finalized()) continue;
@@ -364,11 +355,11 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
       continue;  // nothing stored, nothing to merge
     }
     if (!opts.force) {
-      // Reclaimable share: base-array fragmentation plus the overlay
-      // chains the merge will collapse (entries above the cut survive, so
-      // this is an upper-bound estimate — fine for a trigger).
-      const size_t reclaimable =
-          t.table->FragmentationBytes() + t.overlay->MemoryBytes();
+      // Reclaimable share: the overlay chains the merge will collapse
+      // (entries above the cut survive, so this is an upper-bound estimate
+      // — fine for a trigger). Base arrays are immutable and hold nothing
+      // reclaimable.
+      const size_t reclaimable = t.overlay->MemoryBytes();
       if (bytes_before == 0 ||
           static_cast<double>(reclaimable) /
                   static_cast<double>(bytes_before) <
@@ -381,36 +372,11 @@ CompactionStats Graph::CompactRelations(const CompactionOptions& opts) {
     // FinalizeBulk, overlay entries <= cut are immutable and pinned, the
     // old segment is immutable. Commits racing this loop publish at
     // versions > cut and are untouched by the collapse below.
-    const bool has_stamp = t.table->has_stamp();
-    CompressedSegment::Builder builder(has_stamp);
+    // compaction_mu_ is held, so the segment Neighbors resolves is old_seg.
+    CompressedSegment::Builder builder(t.table->has_stamp());
     for (VertexId v = 0; v < num_vertices; ++v) {
-      AdjSpan span;
-      const AdjOverlayEntry* e =
-          t.overlay->empty() ? nullptr : t.overlay->Find(v, cut);
-      if (e != nullptr) {
-        span = AdjSpan{e->ids.data(),
-                       has_stamp ? e->stamps.data() : nullptr,
-                       static_cast<uint32_t>(e->ids.size()), 0};
-      } else if (old_seg != nullptr && old_seg->Covers(v)) {
-        span = old_seg->Decode(v, &decode_scratch);
-      } else {
-        span = t.table->Neighbors(v);
-      }
-      if (span.sorted_clean()) {
-        builder.Add(span.ids, span.stamps, span.size);
-      } else {
-        // Base spans may carry tombstones; the merge drops them for good.
-        clean_scratch.ids.clear();
-        clean_scratch.stamps.clear();
-        for (uint32_t i = 0; i < span.size; ++i) {
-          if (span.ids[i] == kInvalidVertex) continue;
-          clean_scratch.ids.push_back(span.ids[i]);
-          if (has_stamp) clean_scratch.stamps.push_back(span.stamps[i]);
-        }
-        builder.Add(clean_scratch.ids.data(),
-                    has_stamp ? clean_scratch.stamps.data() : nullptr,
-                    static_cast<uint32_t>(clean_scratch.ids.size()));
-      }
+      AdjSpan span = Neighbors(rel, v, cut, &decode_scratch);
+      builder.Add(span.ids, span.stamps, span.size);
     }
     std::shared_ptr<const CompressedSegment> seg = builder.Build(cut);
 
@@ -725,30 +691,24 @@ Status WriteTxn::Commit(Version* commit_version) {
       ver->version = version;
       // Seed with the newest existing list — overlay head, else the
       // compressed segment (a compaction may have collapsed the chain and
-      // detached the base array), else the base array — compacting
-      // tombstones away.
+      // detached the base array), else the base array.
       std::shared_ptr<AdjOverlayEntry> head =
           entry.overlay->Head(first.vertex);
       const CompressedSegment* seg =
           entry.segment.load(std::memory_order_acquire);
+      AdjScratch scratch;
+      AdjSpan seed;
       if (head != nullptr) {
-        for (size_t k = 0; k < head->ids.size(); ++k) {
-          if (head->ids[k] == kInvalidVertex) continue;
-          ver->ids.push_back(head->ids[k]);
-          if (has_stamp) ver->stamps.push_back(head->stamps[k]);
-        }
+        seed = AdjSpan{head->ids.data(), head->stamps.data(),
+                       static_cast<uint32_t>(head->ids.size())};
       } else if (seg != nullptr && seg->Covers(first.vertex)) {
-        AdjScratch scratch;
-        AdjSpan s = seg->Decode(first.vertex, &scratch);
-        ver->ids.assign(s.ids, s.ids + s.size);
-        if (has_stamp) ver->stamps.assign(s.stamps, s.stamps + s.size);
+        seed = seg->Decode(first.vertex, &scratch);
       } else {
-        AdjSpan base = entry.table->Neighbors(first.vertex);
-        for (uint32_t k = 0; k < base.size; ++k) {
-          if (base.ids[k] == kInvalidVertex) continue;
-          ver->ids.push_back(base.ids[k]);
-          if (has_stamp) ver->stamps.push_back(base.stamps[k]);
-        }
+        seed = entry.table->Neighbors(first.vertex);
+      }
+      ver->ids.assign(seed.ids, seed.ids + seed.size);
+      if (has_stamp) {
+        ver->stamps.assign(seed.stamps, seed.stamps + seed.size);
       }
       for (size_t k = i; k < j; ++k) {
         const EdgeOp& op = edge_ops_[k];

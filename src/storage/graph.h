@@ -60,9 +60,8 @@ struct GcStats {
 
 // Knobs for one Graph::CompactRelations() pass (DESIGN.md §16).
 struct CompactionOptions {
-  // A relation is compacted when its reclaimable share — fragmentation
-  // bytes in the base table plus overlay chain bytes — is at least this
-  // fraction of its total footprint.
+  // A relation is compacted when its reclaimable share — its overlay chain
+  // bytes — is at least this fraction of its total footprint.
   double trigger_frag_pct = 0.30;
   // Ignore the trigger and compact every non-empty relation (tests,
   // GESSNAP4 load, `force` service admin path).
@@ -324,10 +323,8 @@ class Graph {
   // chains plus the new-vertex registry. The GC byte trigger reads this.
   size_t OverlayBytes() const;
 
-  // Adjacency of `v` in relation `rel` as of `snapshot`. Base spans may
-  // contain kInvalidVertex (tombstones); callers skip them. Overlay entries
-  // are tombstone-free and sorted (commit publishes compacted sorted
-  // copies), so their spans are always sorted_clean().
+  // Adjacency of `v` in relation `rel` as of `snapshot`: a sorted span free
+  // of kInvalidVertex, whichever source serves it (AdjSpan invariant).
   //
   // Resolution order: overlay chain, then the installed compressed segment
   // (DESIGN.md §16), then the base array. Decoding a segment materializes
@@ -363,8 +360,8 @@ class Graph {
     return it == table_index_.end() ? kInvalidRelation : it->second;
   }
 
-  // Mean live out-degree over vertices with out-edges, from the base
-  // table's adjMeta. Drives the optimizer's intersection cost model; the
+  // Mean out-degree over vertices with out-edges, from the base table's
+  // totals. Drives the optimizer's intersection cost model; the
   // (small) overlay delta is deliberately ignored.
   double AvgDegree(RelationId rel) const {
     const AdjacencyTable& t = *tables_[rel].table;

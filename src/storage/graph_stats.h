@@ -31,7 +31,7 @@ struct DegreeHistogram {
   uint64_t sampled_sources = 0;   // sampled vertices with >= 1 edge
   uint64_t sampled_edges = 0;
   uint32_t max_degree = 0;
-  double base_avg_degree = 0;  // edges/sources from base adjMeta (exact)
+  double base_avg_degree = 0;  // edges/sources from the base table (exact)
   std::array<uint64_t, 32> buckets{};
 
   bool HasSamples() const { return sampled_sources > 0; }

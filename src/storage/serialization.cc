@@ -13,12 +13,9 @@ namespace ges {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'G', 'E', 'S', 'S', 'N', 'A', 'P', '1'};
-constexpr char kMagicV2[8] = {'G', 'E', 'S', 'S', 'N', 'A', 'P', '2'};
-constexpr char kMagicV3[8] = {'G', 'E', 'S', 'S', 'N', 'A', 'P', '3'};
-constexpr char kMagicV4[8] = {'G', 'E', 'S', 'S', 'N', 'A', 'P', '4'};
+constexpr char kMagic[8] = {'G', 'E', 'S', 'S', 'N', 'A', 'P', '4'};
 
-// V2/V3 string-value subtags.
+// String-value subtags.
 constexpr uint8_t kStrInline = 0;  // length + bytes follow
 constexpr uint8_t kStrCode = 1;    // uint32 dictionary code follows
 
@@ -69,7 +66,7 @@ bool ReadU32(std::istream& in, uint32_t* v) {
   return true;
 }
 
-// LEB128 varints + zigzag, used by the V4 delta-compressed edge sections
+// LEB128 varints + zigzag, used by the delta-compressed edge sections
 // (the same codec the in-memory compressed segments use).
 void WriteVarint(std::ostream& out, uint64_t v) {
   while (v >= 0x80) {
@@ -112,9 +109,9 @@ bool ReadString(std::istream& in, std::string* s) {
   return static_cast<bool>(in.read(s->data(), static_cast<std::streamsize>(n)));
 }
 
-// `dict` non-null => V2/V3 encoding: string values carry a subtag and, when
-// the string is in the graph dictionary, are written as a uint32 code.
-void WriteValue(std::ostream& out, const Value& v, const StringDict* dict) {
+// String values carry a subtag and, when the string is in the graph
+// dictionary, are written as a uint32 code.
+void WriteValue(std::ostream& out, const Value& v, const StringDict& dict) {
   out.put(static_cast<char>(v.type()));
   switch (v.type()) {
     case ValueType::kNull:
@@ -128,16 +125,12 @@ void WriteValue(std::ostream& out, const Value& v, const StringDict* dict) {
     }
     case ValueType::kString: {
       const std::string& s = v.AsString();
-      if (dict != nullptr) {
-        uint32_t code = dict->Find(s);
-        if (code != StringDict::kInvalidCode) {
-          out.put(static_cast<char>(kStrCode));
-          WriteU32(out, code);
-        } else {  // overlay value never interned: inline
-          out.put(static_cast<char>(kStrInline));
-          WriteString(out, s);
-        }
-      } else {
+      uint32_t code = dict.Find(s);
+      if (code != StringDict::kInvalidCode) {
+        out.put(static_cast<char>(kStrCode));
+        WriteU32(out, code);
+      } else {  // overlay value never interned: inline
+        out.put(static_cast<char>(kStrInline));
         WriteString(out, s);
       }
       break;
@@ -148,10 +141,9 @@ void WriteValue(std::ostream& out, const Value& v, const StringDict* dict) {
   }
 }
 
-// `dict` non-null => V2/V3 decoding (the dictionary section already
-// loaded).
+// `dict` is the already-loaded dictionary section.
 bool ReadValue(std::istream& in, Value* v,
-               const std::vector<std::string>* dict) {
+               const std::vector<std::string>& dict) {
   int tag = in.get();
   if (tag < 0) return false;
   ValueType type = static_cast<ValueType>(tag);
@@ -180,18 +172,15 @@ bool ReadValue(std::istream& in, Value* v,
       return true;
     }
     case ValueType::kString: {
-      if (dict != nullptr) {
-        int sub = in.get();
-        if (sub < 0) return false;
-        if (sub == kStrCode) {
-          uint32_t code;
-          if (!ReadU32(in, &code)) return false;
-          if (code >= dict->size()) return false;
-          *v = Value::String((*dict)[code]);
-          return true;
-        }
-        if (sub != kStrInline) return false;
+      int sub = in.get();
+      if (sub == kStrCode) {
+        uint32_t code;
+        if (!ReadU32(in, &code)) return false;
+        if (code >= dict.size()) return false;
+        *v = Value::String(dict[code]);
+        return true;
       }
+      if (sub != kStrInline) return false;
       std::string s;
       if (!ReadString(in, &s)) return false;
       *v = Value::String(std::move(s));
@@ -213,8 +202,7 @@ bool ReadValue(std::istream& in, Value* v,
   return false;
 }
 
-// --- section writers, shared across formats. In V1/V2 the sections are
-// concatenated directly; in V3 each one is CRC32C-framed. ---
+// --- section writers; SaveGraph CRC32C-frames each one ---
 
 struct RelSpec {
   LabelId src, edge, dst;
@@ -257,7 +245,7 @@ void WriteRelationsSection(std::ostream& out,
 }
 
 void WriteVertexSection(std::ostream& out, const Graph& graph, LabelId label,
-                        Version snap, const StringDict* dict) {
+                        Version snap, const StringDict& dict) {
   const auto& props = graph.catalog().LabelProperties(label);
   std::vector<VertexId> vertices;
   graph.ScanLabel(label, snap, &vertices);
@@ -270,37 +258,7 @@ void WriteVertexSection(std::ostream& out, const Graph& graph, LabelId label,
   }
 }
 
-void WriteEdgeSection(std::ostream& out, const Graph& graph,
-                      const Graph::RelationInfo& r, Version snap) {
-  RelationId rel = graph.FindRelation(r.key.src_label, r.key.edge_label,
-                                      r.key.dst_label, Direction::kOut);
-  std::vector<VertexId> sources;
-  AdjScratch adj;
-  graph.ScanLabel(r.key.src_label, snap, &sources);
-  // Count live edges first (tombstones are dropped by the snapshot).
-  uint64_t count = 0;
-  for (VertexId v : sources) {
-    AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
-    for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] != kInvalidVertex) ++count;
-    }
-  }
-  WriteU64(out, count);
-  for (VertexId v : sources) {
-    AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
-    int64_t src_ext = graph.ExtIdOf(v, snap);
-    for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] == kInvalidVertex) continue;
-      WriteI64(out, src_ext);
-      WriteI64(out, graph.ExtIdOf(span.ids[i], snap));
-      if (r.has_stamp) {
-        WriteI64(out, span.stamps == nullptr ? 0 : span.stamps[i]);
-      }
-    }
-  }
-}
-
-// V4 edge section: edges grouped by source, destinations sorted by
+// Edge section: edges grouped by source, destinations sorted by
 // external id and delta+varint compressed (zigzag first, non-negative
 // gaps). Stamps ride along in destination order with the same null
 // suppression as the in-memory segment codec: one mode byte per source, 0
@@ -311,8 +269,8 @@ void WriteEdgeSection(std::ostream& out, const Graph& graph,
 //     zigzag src_ext | varint degree |
 //     zigzag dst_ext[0], varint dst_ext[i]-dst_ext[i-1] ... |
 //     [has_stamp: mode | mode==1: zigzag s[0], zigzag s[i]-s[i-1] ...]
-void WriteEdgeSectionV4(std::ostream& out, const Graph& graph,
-                        const Graph::RelationInfo& r, Version snap) {
+void WriteEdgeSection(std::ostream& out, const Graph& graph,
+                      const Graph::RelationInfo& r, Version snap) {
   RelationId rel = graph.FindRelation(r.key.src_label, r.key.edge_label,
                                       r.key.dst_label, Direction::kOut);
   std::vector<VertexId> sources;
@@ -320,13 +278,7 @@ void WriteEdgeSectionV4(std::ostream& out, const Graph& graph,
   graph.ScanLabel(r.key.src_label, snap, &sources);
   uint64_t num_sources = 0;
   for (VertexId v : sources) {
-    AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
-    for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] != kInvalidVertex) {
-        ++num_sources;
-        break;
-      }
-    }
+    if (graph.Degree(rel, v, snap) > 0) ++num_sources;
   }
   WriteVarint(out, num_sources);
   std::vector<std::pair<int64_t, int64_t>> dsts;  // (dst_ext, stamp)
@@ -334,7 +286,6 @@ void WriteEdgeSectionV4(std::ostream& out, const Graph& graph,
     AdjSpan span = graph.Neighbors(rel, v, snap, &adj);
     dsts.clear();
     for (uint32_t i = 0; i < span.size; ++i) {
-      if (span.ids[i] == kInvalidVertex) continue;
       dsts.emplace_back(graph.ExtIdOf(span.ids[i], snap),
                         span.stamps == nullptr ? 0 : span.stamps[i]);
     }
@@ -368,7 +319,7 @@ void WriteEdgeSectionV4(std::ostream& out, const Graph& graph,
   }
 }
 
-// V4 segments manifest: the relations with a compressed CSR segment
+// Segments manifest: the relations with a compressed CSR segment
 // installed at save time, identified by their catalog keys.
 void WriteSegmentsManifest(std::ostream& out, const Graph& graph,
                            const std::vector<Graph::RelationInfo>& rels) {
@@ -388,7 +339,7 @@ void WriteSegmentsManifest(std::ostream& out, const Graph& graph,
   }
 }
 
-// --- section parsers, shared across formats ---
+// --- section parsers ---
 
 Status ParseDictSection(std::istream& in, std::vector<std::string>* out) {
   uint64_t n;
@@ -458,7 +409,7 @@ Status ParseRelationsSection(std::istream& in, Graph* graph,
 Status ParseVertexSection(
     std::istream& in, Graph* graph, LabelId label,
     const std::vector<std::pair<PropertyId, ValueType>>& props,
-    const std::vector<std::string>* dict) {
+    const std::vector<std::string>& dict) {
   uint64_t count;
   if (!ReadU64(in, &count)) return Status::Error("truncated vertices");
   for (uint64_t i = 0; i < count; ++i) {
@@ -477,28 +428,6 @@ Status ParseVertexSection(
 }
 
 Status ParseEdgeSection(std::istream& in, Graph* graph, const RelSpec& spec) {
-  uint64_t count;
-  if (!ReadU64(in, &count)) return Status::Error("truncated edges");
-  for (uint64_t i = 0; i < count; ++i) {
-    int64_t src_ext, dst_ext, stamp = 0;
-    if (!ReadI64(in, &src_ext) || !ReadI64(in, &dst_ext)) {
-      return Status::Error("truncated edge");
-    }
-    if (spec.has_stamp && !ReadI64(in, &stamp)) {
-      return Status::Error("truncated stamp");
-    }
-    VertexId src = graph->FindByExtId(spec.src, src_ext, 0);
-    VertexId dst = graph->FindByExtId(spec.dst, dst_ext, 0);
-    if (src == kInvalidVertex || dst == kInvalidVertex) {
-      return Status::Error("edge references unknown vertex");
-    }
-    graph->AddEdgeBulk(spec.edge, src, dst, stamp);
-  }
-  return Status::OK();
-}
-
-Status ParseEdgeSectionV4(std::istream& in, Graph* graph,
-                          const RelSpec& spec) {
   uint64_t num_sources;
   if (!ReadVarint(in, &num_sources)) return Status::Error("truncated edges");
   for (uint64_t s = 0; s < num_sources; ++s) {
@@ -567,7 +496,7 @@ Status ParseSegmentsManifest(std::istream& in,
   return Status::OK();
 }
 
-// --- V3 section framing: [u64 len][u32 crc32c(bytes)][bytes] ---
+// --- section framing: [u64 len][u32 crc32c(bytes)][bytes] ---
 
 void WriteFramed(std::ostream& out, const std::string& payload) {
   WriteU64(out, payload.size());
@@ -606,192 +535,124 @@ std::string EdgeSectionName(const Catalog& catalog, const RelSpec& spec) {
 
 }  // namespace
 
-Status SaveGraph(const Graph& graph, std::ostream& out,
-                 SnapshotFormat format) {
+Status SaveGraph(const Graph& graph, std::ostream& out) {
   if (!graph.finalized()) {
     return Status::InvalidArgument("graph must be finalized before saving");
   }
   const Catalog& catalog = graph.catalog();
   Version snap = graph.CurrentVersion();
-  const StringDict* dict =
-      format == SnapshotFormat::kV1 ? nullptr : &graph.string_dict();
+  const StringDict& dict = graph.string_dict();
   std::vector<Graph::RelationInfo> rels = graph.Relations();
 
-  switch (format) {
-    case SnapshotFormat::kV1:
-      out.write(kMagicV1, 8);
-      break;
-    case SnapshotFormat::kV2:
-      out.write(kMagicV2, 8);
-      break;
-    case SnapshotFormat::kV3:
-      out.write(kMagicV3, 8);
-      break;
-    case SnapshotFormat::kV4:
-      out.write(kMagicV4, 8);
-      break;
+  out.write(kMagic, 8);
+  auto framed = [&out](auto&& fill) {
+    std::ostringstream section;
+    fill(section);
+    WriteFramed(out, section.str());
+  };
+  // Header: the snapshot version, restored on load so recovery can skip
+  // WAL transactions already folded into this snapshot.
+  framed([&](std::ostream& s) { WriteU64(s, snap); });
+  framed([&](std::ostream& s) { WriteDictSection(s, dict); });
+  framed([&](std::ostream& s) { WriteCatalogSection(s, catalog); });
+  framed([&](std::ostream& s) { WriteRelationsSection(s, rels); });
+  for (size_t l = 0; l < catalog.num_vertex_labels(); ++l) {
+    framed([&](std::ostream& s) {
+      WriteVertexSection(s, graph, static_cast<LabelId>(l), snap, dict);
+    });
   }
-
-  if (format == SnapshotFormat::kV3 || format == SnapshotFormat::kV4) {
-    const bool v4 = format == SnapshotFormat::kV4;
-    auto framed = [&out](auto&& fill) {
-      std::ostringstream section;
-      fill(section);
-      WriteFramed(out, section.str());
-    };
-    // Header: the snapshot version, restored on load so recovery can skip
-    // WAL transactions already folded into this snapshot.
-    framed([&](std::ostream& s) { WriteU64(s, snap); });
-    framed([&](std::ostream& s) { WriteDictSection(s, *dict); });
-    framed([&](std::ostream& s) { WriteCatalogSection(s, catalog); });
-    framed([&](std::ostream& s) { WriteRelationsSection(s, rels); });
-    for (size_t l = 0; l < catalog.num_vertex_labels(); ++l) {
-      framed([&](std::ostream& s) {
-        WriteVertexSection(s, graph, static_cast<LabelId>(l), snap, dict);
-      });
-    }
-    for (const Graph::RelationInfo& r : rels) {
-      framed([&](std::ostream& s) {
-        if (v4) {
-          WriteEdgeSectionV4(s, graph, r, snap);
-        } else {
-          WriteEdgeSection(s, graph, r, snap);
-        }
-      });
-    }
-    if (v4) {
-      framed(
-          [&](std::ostream& s) { WriteSegmentsManifest(s, graph, rels); });
-    }
-  } else {
-    if (dict != nullptr) WriteDictSection(out, *dict);
-    WriteCatalogSection(out, catalog);
-    WriteRelationsSection(out, rels);
-    for (size_t l = 0; l < catalog.num_vertex_labels(); ++l) {
-      WriteVertexSection(out, graph, static_cast<LabelId>(l), snap, dict);
-    }
-    for (const Graph::RelationInfo& r : rels) {
-      WriteEdgeSection(out, graph, r, snap);
-    }
+  for (const Graph::RelationInfo& r : rels) {
+    framed([&](std::ostream& s) { WriteEdgeSection(s, graph, r, snap); });
   }
+  framed([&](std::ostream& s) { WriteSegmentsManifest(s, graph, rels); });
   if (!out) return Status::Error("write failure");
   return Status::OK();
 }
 
 Status LoadGraph(std::istream& in, Graph* graph) {
   char magic[8];
-  if (!in.read(magic, 8)) {
-    return Status::InvalidArgument("not a GES snapshot (bad magic)");
-  }
-  bool v4 = std::memcmp(magic, kMagicV4, 8) == 0;
-  bool v3 = std::memcmp(magic, kMagicV3, 8) == 0;
-  bool v2 = std::memcmp(magic, kMagicV2, 8) == 0;
-  if (!v4 && !v3 && !v2 && std::memcmp(magic, kMagicV1, 8) != 0) {
+  if (!in.read(magic, 8) || std::memcmp(magic, kMagic, 8) != 0) {
     return Status::InvalidArgument("not a GES snapshot (bad magic)");
   }
 
-  std::vector<std::string> dict_strings;
-  const std::vector<std::string>* dict =
-      (v2 || v3 || v4) ? &dict_strings : nullptr;
+  std::vector<std::string> dict;
   std::vector<std::vector<std::pair<PropertyId, ValueType>>> label_props;
   std::vector<RelSpec> rels;
 
-  if (v3 || v4) {
-    // Every section is read fully, CRC-verified, then parsed; any framing
-    // or parse failure names the section instead of loading partial data.
-    auto section = [&in](const std::string& name, auto&& parse) -> Status {
-      std::string buf;
-      GES_RETURN_IF_ERROR(ReadFramed(in, name, &buf));
-      std::istringstream sec(buf);
-      Status s = parse(sec);
-      if (!s.ok()) {
-        return SectionError(name, "invalid: " + s.message());
-      }
-      return Status::OK();
-    };
-
-    uint64_t snapshot_version = 0;
-    GES_RETURN_IF_ERROR(section("header", [&](std::istream& s) {
-      return ReadU64(s, &snapshot_version)
-                 ? Status::OK()
-                 : Status::Error("missing snapshot version");
-    }));
-    GES_RETURN_IF_ERROR(section("dict", [&](std::istream& s) {
-      return ParseDictSection(s, &dict_strings);
-    }));
-    GES_RETURN_IF_ERROR(section("catalog", [&](std::istream& s) {
-      return ParseCatalogSection(s, graph, &label_props);
-    }));
-    GES_RETURN_IF_ERROR(section("relations", [&](std::istream& s) {
-      return ParseRelationsSection(s, graph, &rels);
-    }));
-    const Catalog& catalog = graph->catalog();
-    for (uint64_t l = 0; l < label_props.size(); ++l) {
-      LabelId label = static_cast<LabelId>(l);
-      std::string name =
-          std::string("vertices[") + catalog.VertexLabelName(label) + "]";
-      GES_RETURN_IF_ERROR(section(name, [&](std::istream& s) {
-        return ParseVertexSection(s, graph, label, label_props[l], dict);
-      }));
-    }
-    for (const RelSpec& spec : rels) {
-      GES_RETURN_IF_ERROR(
-          section(EdgeSectionName(catalog, spec), [&](std::istream& s) {
-            return v4 ? ParseEdgeSectionV4(s, graph, spec)
-                      : ParseEdgeSection(s, graph, spec);
-          }));
-    }
-    std::vector<RelationKey> segment_keys;
-    if (v4) {
-      GES_RETURN_IF_ERROR(section("segments", [&](std::istream& s) {
-        return ParseSegmentsManifest(s, &segment_keys);
-      }));
-    }
-    graph->FinalizeBulk();
-    graph->RestoreVersionForRecovery(snapshot_version);
-    if (!segment_keys.empty()) {
-      // Rebuild the compressed segments the snapshot had installed.
-      // Internal vertex ids are not stable across a save/load cycle, so
-      // the blobs are re-encoded by a forced compaction pass over exactly
-      // the manifested relations; the parked pre-swap storage is freed
-      // immediately (no reader can exist during load).
-      CompactionOptions copts;
-      copts.force = true;
-      for (const RelationKey& key : segment_keys) {
-        RelationId rel = graph->FindRelation(key.src_label, key.edge_label,
-                                             key.dst_label, Direction::kOut);
-        if (rel != kInvalidRelation) copts.only.push_back(rel);
-      }
-      if (!copts.only.empty()) {
-        graph->CompactRelations(copts);
-        graph->ForceReclaimRetiredForRecovery();
-      }
+  // Every section is read fully, CRC-verified, then parsed; any framing or
+  // parse failure names the section instead of loading partial data.
+  auto section = [&in](const std::string& name, auto&& parse) -> Status {
+    std::string buf;
+    GES_RETURN_IF_ERROR(ReadFramed(in, name, &buf));
+    std::istringstream sec(buf);
+    Status s = parse(sec);
+    if (!s.ok()) {
+      return SectionError(name, "invalid: " + s.message());
     }
     return Status::OK();
-  }
+  };
 
-  // Legacy V1/V2: the same sections, concatenated without framing.
-  if (v2) {
-    GES_RETURN_IF_ERROR(ParseDictSection(in, &dict_strings));
-  }
-  GES_RETURN_IF_ERROR(ParseCatalogSection(in, graph, &label_props));
-  GES_RETURN_IF_ERROR(ParseRelationsSection(in, graph, &rels));
+  uint64_t snapshot_version = 0;
+  GES_RETURN_IF_ERROR(section("header", [&](std::istream& s) {
+    return ReadU64(s, &snapshot_version)
+               ? Status::OK()
+               : Status::Error("missing snapshot version");
+  }));
+  GES_RETURN_IF_ERROR(section("dict", [&](std::istream& s) {
+    return ParseDictSection(s, &dict);
+  }));
+  GES_RETURN_IF_ERROR(section("catalog", [&](std::istream& s) {
+    return ParseCatalogSection(s, graph, &label_props);
+  }));
+  GES_RETURN_IF_ERROR(section("relations", [&](std::istream& s) {
+    return ParseRelationsSection(s, graph, &rels);
+  }));
+  const Catalog& catalog = graph->catalog();
   for (uint64_t l = 0; l < label_props.size(); ++l) {
-    GES_RETURN_IF_ERROR(ParseVertexSection(
-        in, graph, static_cast<LabelId>(l), label_props[l], dict));
+    LabelId label = static_cast<LabelId>(l);
+    std::string name =
+        std::string("vertices[") + catalog.VertexLabelName(label) + "]";
+    GES_RETURN_IF_ERROR(section(name, [&](std::istream& s) {
+      return ParseVertexSection(s, graph, label, label_props[l], dict);
+    }));
   }
   for (const RelSpec& spec : rels) {
-    GES_RETURN_IF_ERROR(ParseEdgeSection(in, graph, spec));
+    GES_RETURN_IF_ERROR(
+        section(EdgeSectionName(catalog, spec), [&](std::istream& s) {
+          return ParseEdgeSection(s, graph, spec);
+        }));
   }
+  std::vector<RelationKey> segment_keys;
+  GES_RETURN_IF_ERROR(section("segments", [&](std::istream& s) {
+    return ParseSegmentsManifest(s, &segment_keys);
+  }));
   graph->FinalizeBulk();
+  graph->RestoreVersionForRecovery(snapshot_version);
+  if (!segment_keys.empty()) {
+    // Rebuild the compressed segments the snapshot had installed. Internal
+    // vertex ids are not stable across a save/load cycle, so the blobs are
+    // re-encoded by a forced compaction pass over exactly the manifested
+    // relations; the parked pre-swap storage is freed immediately (no
+    // reader can exist during load).
+    CompactionOptions copts;
+    copts.force = true;
+    for (const RelationKey& key : segment_keys) {
+      RelationId rel = graph->FindRelation(key.src_label, key.edge_label,
+                                           key.dst_label, Direction::kOut);
+      if (rel != kInvalidRelation) copts.only.push_back(rel);
+    }
+    if (!copts.only.empty()) {
+      graph->CompactRelations(copts);
+      graph->ForceReclaimRetiredForRecovery();
+    }
+  }
   return Status::OK();
 }
 
-Status SaveGraphFile(const Graph& graph, const std::string& path,
-                     SnapshotFormat format) {
+Status SaveGraphFile(const Graph& graph, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::NotFound("cannot open " + path);
-  return SaveGraph(graph, out, format);
+  return SaveGraph(graph, out);
 }
 
 Status LoadGraphFile(const std::string& path, Graph* graph) {

@@ -8,26 +8,22 @@
 // Overlay versions are folded into the snapshot (the save captures the
 // graph as of Graph::CurrentVersion()).
 //
-// Four on-disk formats (DESIGN.md §9, §10, §16):
-//  * "GESSNAP1" — every string value inline (length + bytes);
-//  * "GESSNAP2" — the per-graph string dictionary is written once after
-//    the magic, and string values carry a subtag: 0 = inline bytes,
-//    1 = uint32 dictionary code;
-//  * "GESSNAP3" — V2's encoding, but every section (header, dict, catalog,
-//    relations, per-label vertices, per-relation edges) is framed as
-//    [u64 len][u32 crc32c][bytes] and verified on load, and a header
-//    section records the snapshot version so recovery can skip WAL
-//    transactions the snapshot already contains. Corrupted or truncated
-//    V3 snapshots fail with a Status naming the offending section.
-//  * "GESSNAP4" — V3's framing, but edge sections are grouped by source
-//    and delta+varint compressed (zigzag first id, non-negative gaps,
-//    null-suppressed stamp runs), and a trailing manifest section lists
-//    the relations that had a compressed CSR segment installed at save
-//    time. Loading rebuilds those segments with a forced compaction pass
-//    (internal vertex ids are not stable across a save/load cycle, so the
-//    encoded blobs themselves cannot be reused).
-// Saves default to V4; the loader accepts all four magics transparently
-// (legacy footerless files keep working).
+// One on-disk format, "GESSNAP4" (DESIGN.md §9, §10, §16): after the
+// magic, every section (header, string dictionary, catalog, relations,
+// per-label vertices, per-relation edges, segments manifest) is framed as
+// [u64 len][u32 crc32c][bytes] and verified on load, so a corrupted or
+// truncated snapshot fails with a Status naming the offending section.
+//  * The header records the snapshot version, so recovery can skip WAL
+//    transactions the snapshot already contains.
+//  * The per-graph string dictionary is written once; string values carry
+//    a subtag: 0 = inline bytes, 1 = uint32 dictionary code.
+//  * Edge sections are grouped by source and delta+varint compressed
+//    (zigzag first id, non-negative gaps, null-suppressed stamp runs).
+//  * The manifest lists the relations that had a compressed CSR segment
+//    installed at save time. Loading rebuilds those segments with a forced
+//    compaction pass (internal vertex ids are not stable across a
+//    save/load cycle, so the encoded blobs themselves cannot be reused).
+// Any other magic, including the retired GESSNAP1-3, is refused.
 #ifndef GES_STORAGE_SERIALIZATION_H_
 #define GES_STORAGE_SERIALIZATION_H_
 
@@ -39,18 +35,9 @@
 
 namespace ges {
 
-enum class SnapshotFormat : uint8_t {
-  kV1 = 1,  // legacy: inline strings ("GESSNAP1")
-  kV2 = 2,  // dictionary section + coded strings ("GESSNAP2")
-  kV3 = 3,  // CRC32C-framed sections + snapshot version ("GESSNAP3")
-  kV4 = 4,  // delta+varint edge sections + segment manifest ("GESSNAP4")
-};
-
 // Serializes `graph` (which must be finalized) into `out`.
-Status SaveGraph(const Graph& graph, std::ostream& out,
-                 SnapshotFormat format = SnapshotFormat::kV4);
-Status SaveGraphFile(const Graph& graph, const std::string& path,
-                     SnapshotFormat format = SnapshotFormat::kV4);
+Status SaveGraph(const Graph& graph, std::ostream& out);
+Status SaveGraphFile(const Graph& graph, const std::string& path);
 
 // Deserializes into `graph`, which must be freshly constructed (no schema,
 // no data). The loaded graph is finalized and ready for reads and MV2PL

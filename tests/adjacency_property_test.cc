@@ -1,5 +1,6 @@
 // Property-based storage tests: random bulk graphs round-trip through the
-// adjacency tables; incremental inserts/removes preserve invariants.
+// adjacency tables; MV2PL updates and compaction preserve the span
+// invariant readers rely on (sorted, no kInvalidVertex).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,52 +53,72 @@ TEST_P(AdjacencyRandomTest, BulkBuildMatchesEdgeList) {
       EXPECT_EQ(span.ids[i], want[i].first);
       EXPECT_EQ(span.stamps[i], want[i].second);
     }
-    EXPECT_TRUE(span.sorted_clean());
   }
 }
 
+// Random single-edge inserts and removes through MV2PL transactions (the
+// only update path): after every commit the published span holds exactly
+// the live multiset, in sorted order.
 TEST_P(AdjacencyRandomTest, IncrementalInsertsAndRemoves) {
   Rng rng(GetParam() * 40503 + 7);
-  AdjacencyTable table(RelationKey{0, 0, 0, Direction::kOut}, false);
-  table.Finalize(8);
+  Graph g;
+  LabelId node = g.catalog().AddVertexLabel("N");
+  LabelId e = g.catalog().AddEdgeLabel("E");
+  g.catalog().AddProperty(node, "id", ValueType::kInt64);
+  g.RegisterRelation(node, e, node);
+  std::vector<VertexId> v;
+  for (int i = 0; i < 64; ++i) v.push_back(g.AddVertexBulk(node, i));
+  g.FinalizeBulk();
+  RelationId rel = g.FindRelation(node, e, node, Direction::kOut);
   std::multiset<VertexId> live;
-  uint64_t inserted = 0;
   for (int step = 0; step < 400; ++step) {
     if (live.empty() || rng.Bernoulli(0.7)) {
-      VertexId dst = rng.Uniform(64);
-      table.InsertEdge(3, dst);
+      VertexId dst = v[rng.Uniform(64)];
+      auto txn = g.BeginWrite({v[3], dst});
+      ASSERT_TRUE(txn->AddEdge(e, v[3], dst).ok());
+      txn->Commit();
       live.insert(dst);
-      ++inserted;
     } else {
       VertexId dst = *live.begin();
-      ASSERT_TRUE(table.RemoveEdge(3, dst));
+      auto txn = g.BeginWrite({v[3], dst});
+      ASSERT_TRUE(txn->RemoveEdge(e, v[3], dst).ok());
+      txn->Commit();
       live.erase(live.begin());
     }
-    ASSERT_EQ(table.Degree(3), live.size());
+    ASSERT_EQ(g.Degree(rel, v[3], g.CurrentVersion()), live.size());
   }
-  // The span contains exactly the live multiset (tombstones excluded).
-  AdjSpan span = table.Neighbors(3);
-  std::multiset<VertexId> seen;
-  for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] != kInvalidVertex) seen.insert(span.ids[i]);
-  }
-  EXPECT_EQ(seen, live);
-  EXPECT_EQ(table.num_edges(), live.size());
-  // The live subsequence stays sorted (InsertEdge compacts tombstones and
-  // inserts at the sorted position) — galloping depends on this.
-  VertexId prev = 0;
-  bool first = true;
-  for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] == kInvalidVertex) continue;
-    if (!first) EXPECT_LE(prev, span.ids[i]);
-    prev = span.ids[i];
-    first = false;
-  }
+  AdjSpan span = g.Neighbors(rel, v[3], g.CurrentVersion());
+  std::vector<VertexId> got(span.ids, span.ids + span.size);
+  EXPECT_EQ(got, std::vector<VertexId>(live.begin(), live.end()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdjacencyRandomTest, ::testing::Range(0, 10));
 
-// Random MV2PL write batches keep per-snapshot degree history consistent.
+// Every span Graph::Neighbors returns is nondecreasing and free of
+// kInvalidVertex: the AdjSpan contract readers gallop over without checking.
+void ExpectSpansSortedAndClean(const Graph& g,
+                               const std::vector<RelationId>& rels,
+                               const std::vector<VertexId>& vertices,
+                               Version ver) {
+  AdjScratch scratch;
+  for (RelationId rel : rels) {
+    for (VertexId x : vertices) {
+      AdjSpan span = g.Neighbors(rel, x, ver, &scratch);
+      for (uint32_t i = 0; i < span.size; ++i) {
+        ASSERT_NE(span.ids[i], kInvalidVertex)
+            << "rel " << rel << " vertex " << x << " version " << ver;
+        if (i > 0) {
+          ASSERT_LE(span.ids[i - 1], span.ids[i])
+              << "rel " << rel << " vertex " << x << " version " << ver;
+        }
+      }
+    }
+  }
+}
+
+// Random MV2PL write batches keep per-snapshot degree history consistent,
+// and every snapshot's spans keep the sorted, clean contract — after
+// RemoveEdge transactions and across a forced compaction.
 TEST(MvccPropertyTest, DegreeHistoryPerSnapshot) {
   Graph g;
   LabelId node = g.catalog().AddVertexLabel("N");
@@ -106,23 +127,24 @@ TEST(MvccPropertyTest, DegreeHistoryPerSnapshot) {
   g.RegisterRelation(node, e, node);
   std::vector<VertexId> v;
   for (int i = 0; i < 10; ++i) v.push_back(g.AddVertexBulk(node, i));
+  // A few bulk edges so the base CSR serves spans too.
+  for (int i = 1; i < 10; i += 2) g.AddEdgeBulk(e, v[i], v[(i * 3) % 10]);
   g.FinalizeBulk();
   RelationId rel = g.FindRelation(node, e, node, Direction::kOut);
+  const std::vector<RelationId> rels{rel, g.ReverseRelation(rel)};
 
   Rng rng(99);
   // history[k] = expected degree of v[0] at version k.
   std::vector<uint32_t> history{0};
   uint32_t degree = 0;
-  for (int step = 0; step < 60; ++step) {
+  auto step = [&]() {
     bool remove = degree > 0 && rng.Bernoulli(0.3);
+    AdjScratch scratch;
     if (remove) {
       // Pick an existing neighbor from the latest snapshot, then remove it.
-      AdjSpan span = g.Neighbors(rel, v[0], g.CurrentVersion());
-      VertexId target = kInvalidVertex;
-      for (uint32_t i = 0; i < span.size; ++i) {
-        if (span.ids[i] != kInvalidVertex) target = span.ids[i];
-      }
-      ASSERT_NE(target, kInvalidVertex);
+      AdjSpan span = g.Neighbors(rel, v[0], g.CurrentVersion(), &scratch);
+      ASSERT_GT(span.size, 0u);
+      VertexId target = span.ids[rng.Uniform(span.size)];
       auto txn = g.BeginWrite({v[0], target});
       ASSERT_TRUE(txn->RemoveEdge(e, v[0], target).ok());
       txn->Commit();
@@ -135,11 +157,31 @@ TEST(MvccPropertyTest, DegreeHistoryPerSnapshot) {
       ++degree;
     }
     history.push_back(degree);
-  }
-  // Every historical snapshot still answers with its own degree.
-  for (Version ver = 0; ver < history.size(); ++ver) {
-    EXPECT_EQ(g.Degree(rel, v[0], ver), history[ver]) << "version " << ver;
-  }
+  };
+  // Every snapshot from `from` on still answers with its own degree and
+  // hands out sorted, clean spans.
+  auto check_from = [&](Version from) {
+    for (Version ver = from; ver < history.size(); ++ver) {
+      EXPECT_EQ(g.Degree(rel, v[0], ver), history[ver]) << "version " << ver;
+      ExpectSpansSortedAndClean(g, rels, v, ver);
+    }
+  };
+
+  for (int i = 0; i < 60; ++i) ASSERT_NO_FATAL_FAILURE(step());
+  check_from(0);
+
+  // Pin the middle of the history so the compaction cut lands there, then
+  // merge every relation into compressed segments.
+  const Version pinned = 30;
+  SnapshotHandle pin = g.PinSnapshotAt(pinned);
+  CompactionOptions opts;
+  opts.force = true;
+  ASSERT_GE(g.CompactRelations(opts).relations_compacted, 1u);
+  check_from(pinned);
+
+  // Updates on top of the segments seed their copies from decoded lists.
+  for (int i = 0; i < 30; ++i) ASSERT_NO_FATAL_FAILURE(step());
+  check_from(pinned);
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 // This catches interactions the handwritten operator tests miss.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/memory_budget.h"
 #include "common/random.h"
 #include "executor/executor.h"
 #include "queries/ldbc.h"
+#include "runtime/query_context.h"
 #include "tests/test_util.h"
 
 namespace ges {
@@ -239,9 +243,18 @@ TEST_P(FuzzPlanTest, EnginesAgreeOnRandomPlans) {
   GraphView view(&fx.graph);
   for (int i = 0; i < 3; ++i) {
     Plan plan = gen.Generate();
-    QueryResult flat = Executor(ExecMode::kFlat).Run(plan, view);
     // Bound runaway cross products: the point is breadth of shapes, not
-    // volume, and the Volcano engine is slow by design.
+    // volume, and the Volcano engine is slow by design. The oracle runs
+    // under a 32 MiB budget, so a runaway plan is stopped when it crosses
+    // the bound rather than after it has materialized everything.
+    QueryContext qctx;
+    qctx.AttachBudget(std::make_shared<MemoryBudget>(size_t{32} << 20));
+    ExecOptions oracle_opts;
+    oracle_opts.context = &qctx;
+    QueryResult flat = Executor(ExecMode::kFlat, oracle_opts).Run(plan, view);
+    if (flat.interrupted == InterruptReason::kMemoryExceeded) continue;
+    ASSERT_EQ(flat.interrupted, InterruptReason::kNone)
+        << "seed=" << GetParam() << " plan#" << i;
     if (flat.stats.peak_intermediate_bytes > (32u << 20)) continue;
     auto expected = SortedRows(flat.table);
     for (ExecMode mode : {ExecMode::kVolcano, ExecMode::kFactorized,

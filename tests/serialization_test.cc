@@ -96,21 +96,23 @@ TEST(SerializationTest, LoadedGraphAnswersQueriesIdentically) {
   }
 }
 
-TEST(SerializationTest, LegacyV1SnapshotLoads) {
-  // Saving in the legacy inline-string format ("GESSNAP1") must stay
-  // loadable and equivalent — old snapshot files keep working.
+TEST(SerializationTest, RefusesRetiredMagics) {
+  // GESSNAP4 is the only format: a file carrying a retired magic (here a
+  // current image relabelled) is refused with the bad-magic error rather
+  // than parsed.
   TinyGraph tiny;
-  std::stringstream v1, v2;
-  ASSERT_TRUE(SaveGraph(*tiny.graph, v1, SnapshotFormat::kV1).ok());
-  ASSERT_TRUE(SaveGraph(*tiny.graph, v2, SnapshotFormat::kV2).ok());
-  EXPECT_EQ(v1.str().substr(0, 8), "GESSNAP1");
-  EXPECT_EQ(v2.str().substr(0, 8), "GESSNAP2");
-
-  Graph from_v1, from_v2;
-  ASSERT_TRUE(LoadGraph(v1, &from_v1).ok());
-  ASSERT_TRUE(LoadGraph(v2, &from_v2).ok());
-  EXPECT_EQ(from_v1.NumVerticesTotal(), from_v2.NumVerticesTotal());
-  EXPECT_EQ(from_v1.NumEdgesTotal(), from_v2.NumEdgesTotal());
+  std::stringstream buf;
+  ASSERT_TRUE(SaveGraph(*tiny.graph, buf).ok());
+  const std::string bytes = buf.str();
+  ASSERT_EQ(bytes.substr(0, 8), "GESSNAP4");
+  for (const char* magic : {"GESSNAP3", "GESSNAP2", "GESSNAP1"}) {
+    std::stringstream old(std::string(magic) + bytes.substr(8));
+    Graph g;
+    Status s = LoadGraph(old, &g);
+    ASSERT_FALSE(s.ok()) << magic;
+    EXPECT_NE(s.message().find("bad magic"), std::string::npos)
+        << magic << ": " << s.message();
+  }
 }
 
 TEST(SerializationTest, V2RoundTripsStringProperties) {

@@ -1,7 +1,8 @@
-// GESSNAP3/GESSNAP4 integrity tests: per-section CRC32C framing,
-// corruption and truncation detection with section-naming errors, the V4
-// delta+varint edge codec and compacted-segment manifest, legacy format
-// loading, and snapshot-version restoration for recovery.
+// GESSNAP4 integrity tests: per-section CRC32C framing, corruption and
+// truncation detection with section-naming errors, the delta+varint edge
+// codec and compacted-segment manifest, and snapshot-version restoration
+// for recovery. Tests named V3 cover what that format introduced (framing,
+// the snapshot version, overlay capture), now part of the one format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,15 +19,9 @@ namespace {
 
 using testutil::TinyGraph;
 
-std::string SaveV3(const Graph& g) {
-  std::stringstream buf;
-  EXPECT_TRUE(SaveGraph(g, buf, SnapshotFormat::kV3).ok());
-  return buf.str();
-}
-
 std::string SaveV4(const Graph& g) {
   std::stringstream buf;
-  EXPECT_TRUE(SaveGraph(g, buf, SnapshotFormat::kV4).ok());
+  EXPECT_TRUE(SaveGraph(g, buf).ok());
   return buf.str();
 }
 
@@ -39,7 +34,6 @@ std::vector<std::pair<int64_t, int64_t>> EdgeSet(const Graph& g,
   AdjSpan span = g.Neighbors(rel, v, snap, &scratch);
   std::vector<std::pair<int64_t, int64_t>> out;
   for (uint32_t i = 0; i < span.size; ++i) {
-    if (span.ids[i] == kInvalidVertex) continue;
     out.emplace_back(g.ExtIdOf(span.ids[i], snap),
                      span.stamps != nullptr ? span.stamps[i] : 0);
   }
@@ -61,7 +55,7 @@ TEST(SnapshotIntegrityTest, DefaultFormatIsV4) {
 
 TEST(SnapshotIntegrityTest, V3RoundTrips) {
   TinyGraph tiny;
-  std::string bytes = SaveV3(*tiny.graph);
+  std::string bytes = SaveV4(*tiny.graph);
   Graph loaded;
   Status s = LoadBytes(bytes, &loaded);
   ASSERT_TRUE(s.ok()) << s.message();
@@ -85,7 +79,7 @@ TEST(SnapshotIntegrityTest, RestoresSnapshotVersion) {
   ASSERT_EQ(tiny.graph->CurrentVersion(), 3u);
 
   Graph loaded;
-  ASSERT_TRUE(LoadBytes(SaveV3(*tiny.graph), &loaded).ok());
+  ASSERT_TRUE(LoadBytes(SaveV4(*tiny.graph), &loaded).ok());
   // Recovery depends on this: WAL transactions with commit_version <= 3
   // must be skipped after loading this snapshot.
   EXPECT_EQ(loaded.CurrentVersion(), 3u);
@@ -93,7 +87,7 @@ TEST(SnapshotIntegrityTest, RestoresSnapshotVersion) {
 
 TEST(SnapshotIntegrityTest, TruncationAnywhereIsDetected) {
   TinyGraph tiny;
-  const std::string bytes = SaveV3(*tiny.graph);
+  const std::string bytes = SaveV4(*tiny.graph);
   // Sample a spread of truncation points (every byte would be slow on the
   // bigger sections; boundaries and interiors are all hit).
   for (size_t cut = 8; cut < bytes.size();
@@ -106,7 +100,7 @@ TEST(SnapshotIntegrityTest, TruncationAnywhereIsDetected) {
 
 TEST(SnapshotIntegrityTest, TruncationErrorNamesSection) {
   TinyGraph tiny;
-  const std::string bytes = SaveV3(*tiny.graph);
+  const std::string bytes = SaveV4(*tiny.graph);
   Graph g;
   Status s = LoadBytes(bytes.substr(0, bytes.size() - 3), &g);
   ASSERT_FALSE(s.ok());
@@ -115,7 +109,7 @@ TEST(SnapshotIntegrityTest, TruncationErrorNamesSection) {
 
 TEST(SnapshotIntegrityTest, BitFlipIsDetectedAndNamesSection) {
   TinyGraph tiny;
-  const std::string bytes = SaveV3(*tiny.graph);
+  const std::string bytes = SaveV4(*tiny.graph);
   // Flip one payload byte in a handful of spots across the file (past the
   // magic, which has its own check).
   for (size_t off = 9; off < bytes.size();
@@ -132,25 +126,6 @@ TEST(SnapshotIntegrityTest, BitFlipIsDetectedAndNamesSection) {
   }
 }
 
-TEST(SnapshotIntegrityTest, LegacyFormatsStillLoad) {
-  TinyGraph tiny;
-  for (SnapshotFormat f : {SnapshotFormat::kV1, SnapshotFormat::kV2,
-                           SnapshotFormat::kV3}) {
-    std::stringstream buf;
-    ASSERT_TRUE(SaveGraph(*tiny.graph, buf, f).ok());
-    const std::string magic = buf.str().substr(0, 8);
-    const char* want = f == SnapshotFormat::kV1   ? "GESSNAP1"
-                       : f == SnapshotFormat::kV2 ? "GESSNAP2"
-                                                  : "GESSNAP3";
-    EXPECT_EQ(magic, want);
-    Graph loaded;
-    Status s = LoadGraph(buf, &loaded);
-    ASSERT_TRUE(s.ok()) << s.message();
-    EXPECT_EQ(loaded.NumVerticesTotal(), tiny.graph->NumVerticesTotal());
-    EXPECT_EQ(loaded.NumEdgesTotal(), tiny.graph->NumEdgesTotal());
-  }
-}
-
 TEST(SnapshotIntegrityTest, V3CapturesCommittedOverlayState) {
   TinyGraph tiny;
   {
@@ -161,7 +136,7 @@ TEST(SnapshotIntegrityTest, V3CapturesCommittedOverlayState) {
     ASSERT_NE(txn->Commit(), 0u);
   }
   Graph loaded;
-  ASSERT_TRUE(LoadBytes(SaveV3(*tiny.graph), &loaded).ok());
+  ASSERT_TRUE(LoadBytes(SaveV4(*tiny.graph), &loaded).ok());
   Version v = loaded.CurrentVersion();
   EXPECT_EQ(v, 1u);
   RelationId knows = loaded.FindRelation(tiny.person, tiny.knows,

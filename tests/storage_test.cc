@@ -71,36 +71,28 @@ TEST(AdjacencyTest, StampsTravelWithNeighbors) {
   EXPECT_EQ(s.stamps[1], 222);
 }
 
-TEST(AdjacencyTest, InsertGrowsWithDoubling) {
-  AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, false);
-  t.Finalize(1);
-  for (VertexId i = 0; i < 100; ++i) t.InsertEdge(0, 1000 + i);
-  AdjSpan s = t.Neighbors(0);
-  ASSERT_EQ(s.size, 100u);
-  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(s.ids[i], 1000 + i);
-  EXPECT_EQ(t.num_edges(), 100u);
-}
-
-TEST(AdjacencyTest, RemoveTombstones) {
-  AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, false);
-  t.StageEdge(0, 1);
-  t.StageEdge(0, 2);
-  t.Finalize(1);
-  EXPECT_TRUE(t.RemoveEdge(0, 1));
-  EXPECT_FALSE(t.RemoveEdge(0, 9));
-  AdjSpan s = t.Neighbors(0);
-  ASSERT_EQ(s.size, 2u);  // slot kept, marked
-  EXPECT_EQ(s.ids[0], kInvalidVertex);
-  EXPECT_EQ(s.ids[1], 2u);
-  EXPECT_EQ(t.Degree(0), 1u);
-  EXPECT_EQ(t.num_edges(), 1u);
-}
-
-TEST(AdjacencyTest, InsertIntoNewVertexAfterFinalize) {
-  AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, false);
-  t.Finalize(2);
-  t.InsertEdge(5, 1);  // vertex beyond the finalized range
-  EXPECT_EQ(t.Neighbors(5).size, 1u);
+// After Finalize the table is a bare CSR: n+1 offsets plus one slot per
+// edge (a neighbor id, and a stamp when the relation has one). Staging
+// buffers are released and no per-vertex metadata remains.
+TEST(AdjacencyTest, FinalizedCsrCostsOffsetsPlusSlots) {
+  constexpr size_t kVertices = 10000;
+  for (bool has_stamp : {false, true}) {
+    AdjacencyTable t(RelationKey{0, 0, 0, Direction::kOut}, has_stamp);
+    size_t edges = 0;
+    for (VertexId v = 0; v < kVertices; v += 7) {
+      t.StageEdge(v, (v * 31) % kVertices, static_cast<int64_t>(v));
+      t.StageEdge(v, (v * 17) % kVertices, static_cast<int64_t>(v));
+      edges += 2;
+    }
+    t.Finalize(kVertices);
+    const size_t slot =
+        sizeof(VertexId) + (has_stamp ? sizeof(int64_t) : 0);
+    EXPECT_LE(t.MemoryBytes(), (kVertices + 1) * 8 + edges * slot)
+        << "has_stamp=" << has_stamp;
+    EXPECT_EQ(t.num_edges(), edges);
+    EXPECT_EQ(t.Degree(7), 2u);
+    EXPECT_EQ(t.Degree(8), 0u);
+  }
 }
 
 TEST(PropertyTableTest, AppendAndAccess) {
